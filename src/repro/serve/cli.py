@@ -98,6 +98,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def enable_telemetry(args) -> None:
+    """A server's /metrics endpoint is only useful with telemetry on, so
+    unlike the batch CLIs, repro-serve always enables it.  Span records are
+    kept only when ``--trace-out`` or ``--manifest`` will read them: a
+    long-lived server would otherwise grow by every request's spans up to
+    the tracer cap."""
+    telemetry.enable(
+        log_level=args.log_level or "info",
+        keep_spans=bool(args.trace_out or args.manifest),
+    )
+
+
 def _parse_model_specs(specs: list[str] | None) -> list[tuple[str, str]]:
     """``[NAME=]PATH`` flags → ``[(name, path)]`` (name defaults to stem)."""
     out: list[tuple[str, str]] = []
@@ -113,9 +125,7 @@ def _parse_model_specs(specs: list[str] | None) -> list[tuple[str, str]]:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
-    # A server's /metrics endpoint is only useful with telemetry on, so
-    # unlike the batch CLIs, repro-serve always enables it.
-    telemetry.enable(log_level=args.log_level or "info")
+    enable_telemetry(args)
     configure_faults(args)
 
     specs = _parse_model_specs(args.models)

@@ -12,7 +12,8 @@ is transparently replaced with one fresh attempt before the error
 surfaces — counted as ``client.reconnect``, invisible to the retry policy.
 :meth:`ServeClient.close` releases the sockets; :meth:`infer_pipelined`
 goes further and pipelines many requests down one connection without
-waiting for each response.
+waiting for each response.  Every socket the client opens has
+``TCP_NODELAY`` set, matching the server.
 
 Transient failures are retried by default: 429/503 responses (honoring
 ``Retry-After``) and transport errors (connection refused/reset, a server
@@ -39,6 +40,23 @@ from dataclasses import dataclass
 
 from repro.faults import FaultInjectedError, faults
 from repro.obs import TraceContext, span_context, telemetry
+
+
+def _nodelay(sock: socket.socket) -> socket.socket:
+    """Turn Nagle off on ``sock``: a request written in several sends (the
+    streamed-upload path writes headers, then body blocks) must not wait
+    for the server's delayed ACK between them."""
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
+
+
+class _NoDelayHTTPConnection(http.client.HTTPConnection):
+    """``HTTPConnection`` whose socket always has ``TCP_NODELAY`` set
+    (``http.client`` only does so itself from Python 3.11 on)."""
+
+    def connect(self) -> None:
+        super().connect()
+        _nodelay(self.sock)
 
 
 class ServeClientError(RuntimeError):
@@ -245,9 +263,7 @@ class ServeClient:
         with telemetry.span(
             "client.pipeline", n_requests=len(jobs), depth=depth
         ):
-            sock = socket.create_connection(
-                (self._host, self._port), timeout=self.timeout_s
-            )
+            sock = self._dial()
             try:
                 reader = sock.makefile("rb")
                 sent = received = 0
@@ -387,6 +403,12 @@ class ServeClient:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
+    def _dial(self) -> socket.socket:
+        """A fresh raw connection to the server (the pipelining path)."""
+        return _nodelay(socket.create_connection(
+            (self._host, self._port), timeout=self.timeout_s
+        ))
+
     def _connection(self) -> tuple[http.client.HTTPConnection, bool]:
         """This thread's persistent connection; ``reused`` is False when
         it was just created (its first request cannot be keep-alive-stale).
@@ -394,7 +416,7 @@ class ServeClient:
         conn = getattr(self._local, "conn", None)
         if conn is not None:
             return conn, True
-        conn = http.client.HTTPConnection(
+        conn = _NoDelayHTTPConnection(
             self._host, self._port, timeout=self.timeout_s
         )
         self._local.conn = conn

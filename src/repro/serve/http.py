@@ -51,7 +51,13 @@ Stdlib-only (``http.server.ThreadingHTTPServer`` + ``json``).  Endpoints:
 
 Every ``POST /v1/infer`` honors an incoming W3C ``traceparent`` header:
 the server's spans join the caller's trace, and the trace id is echoed in
-the response body (``trace_id``) and the ``X-Trace-Id`` header.
+the response body (``trace_id``) and the ``X-Trace-Id`` header.  A
+successful inference also carries ``Server-Timing: queue;dur=…,
+infer;dur=…`` with the body's ``timing.queue_ms``/``timing.infer_ms``.
+
+Every response leaves in one socket write and every accepted socket has
+``TCP_NODELAY`` set, so keep-alive connections never wait on Nagle plus
+delayed ACK between requests.
 """
 
 from __future__ import annotations
@@ -200,7 +206,7 @@ class ServeHandler(BaseHTTPRequestHandler):
                 self._handle_swap(model_name, trace_id)
                 return
         elif parsed.path != "/v1/infer":
-            self._send_json(404, {"error": f"no such endpoint: {parsed.path}"})
+            self._refuse(404, {"error": f"no such endpoint: {parsed.path}"})
             return
         try:
             # Chaos hook: a "serve.accept" rule sheds this request with a
@@ -208,7 +214,7 @@ class ServeHandler(BaseHTTPRequestHandler):
             faults.point("serve.accept", path=parsed.path)
         except FaultInjectedError as exc:
             telemetry.count("serve.fault_reject")
-            self._send_json(
+            self._refuse(
                 503,
                 {"error": f"fault injected: {exc}", "retry_after_s": 0.05},
                 headers={"Retry-After": "1"},
@@ -216,7 +222,7 @@ class ServeHandler(BaseHTTPRequestHandler):
             )
             return
         if self.service.draining:
-            self._send_json(
+            self._refuse(
                 503, {"error": "server is draining"}, trace_id=trace_id
             )
             return
@@ -225,7 +231,7 @@ class ServeHandler(BaseHTTPRequestHandler):
         except ValueError:
             length = -1
         if length <= 0 or length > MAX_BODY_BYTES:
-            self._send_json(
+            self._refuse(
                 413 if length > MAX_BODY_BYTES else 400,
                 {"error": f"Content-Length must be in (0, {MAX_BODY_BYTES}]"},
             )
@@ -242,7 +248,7 @@ class ServeHandler(BaseHTTPRequestHandler):
                 raise BadRequestError("stream=1 requires a CSV body")
         except BadRequestError as exc:
             telemetry.count("serve.bad_request")
-            self._send_json(400, {"error": str(exc)}, trace_id=trace_id)
+            self._refuse(400, {"error": str(exc)}, trace_id=trace_id)
             return
         if stream or (kind != "application/json" and length >= STREAM_BODY_BYTES):
             self._handle_streamed_infer(
@@ -272,7 +278,7 @@ class ServeHandler(BaseHTTPRequestHandler):
         except ValueError:
             length = -1
         if length <= 0 or length > MAX_BODY_BYTES:
-            self._send_json(
+            self._refuse(
                 400, {"error": "swap needs a JSON body with a model path"},
                 trace_id=trace_id,
             )
@@ -395,11 +401,8 @@ class ServeHandler(BaseHTTPRequestHandler):
                     profiler.consume(chunk)
                 profiles = profiler.profiles()
         except (CSVReadError, ProfileError) as exc:
-            # The socket may still hold unread body bytes; a keep-alive
-            # reuse would read them as the next request line.
-            self.close_connection = True
             telemetry.count("serve.bad_request")
-            self._send_json(400, {"error": str(exc)}, trace_id=trace_id)
+            self._refuse(400, {"error": str(exc)}, trace_id=trace_id)
             return
         request = self._submit_infer(
             name, deadline_s, trace_id, profiles=profiles,
@@ -495,6 +498,8 @@ class ServeHandler(BaseHTTPRequestHandler):
                 status, {"error": str(request.error)}, trace_id=trace_id
             )
             return
+        queue_ms = round(request.queue_ms, 3)
+        infer_ms = round(request.infer_ms, 3)
         self._send_json(
             200,
             {
@@ -505,11 +510,14 @@ class ServeHandler(BaseHTTPRequestHandler):
                 "degraded": request.degraded,
                 "predictions": [p.as_dict() for p in request.predictions],
                 "timing": {
-                    "queue_ms": round(request.queue_ms, 3),
-                    "infer_ms": round(request.infer_ms, 3),
+                    "queue_ms": queue_ms,
+                    "infer_ms": infer_ms,
                     "batch_requests": request.batch_requests,
                     "batch_columns": request.batch_columns,
                 },
+            },
+            headers={
+                "Server-Timing": f"queue;dur={queue_ms}, infer;dur={infer_ms}"
             },
             trace_id=trace_id,
         )
@@ -560,6 +568,23 @@ class ServeHandler(BaseHTTPRequestHandler):
             "application/json", headers,
         )
 
+    def _refuse(
+        self,
+        status: int,
+        payload: dict,
+        headers: dict | None = None,
+        trace_id: str | None = None,
+    ) -> None:
+        """Answer a request whose body was not (fully) read, then close.
+
+        The unread body bytes are still in the socket; a keep-alive reuse
+        would parse them as the next request line.
+        """
+        self._send_json(
+            status, payload, headers={**(headers or {}), "Connection": "close"},
+            trace_id=trace_id,
+        )
+
     def _send_text(
         self, status: int, text: str, content_type: str = "text/plain"
     ) -> None:
@@ -590,10 +615,19 @@ class ServeHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for key, value in (headers or {}).items():
             self.send_header(key, value)
-        self.end_headers()
+        # One write per response: status line, headers and body leave in a
+        # single send instead of end_headers() + a body write, so a
+        # keep-alive response never has a small trailing segment waiting
+        # on the client's delayed ACK.
+        head = getattr(self, "_headers_buffer", [])  # empty for HTTP/0.9
+        response = b"".join((*head, b"\r\n", body)) if head else body
+        self._headers_buffer = []
         try:
-            self.wfile.write(body)
-        except BrokenPipeError:  # client gave up (e.g. its own timeout)
+            self.wfile.write(response)
+        except (BrokenPipeError, ConnectionResetError):
+            # The client gave up (e.g. its own timeout); the connection is
+            # dead, so end the keep-alive loop instead of reading from it.
+            self.close_connection = True
             telemetry.count("serve.client_gone")
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
@@ -626,6 +660,11 @@ class ServeHTTPServer(ThreadingHTTPServer):
 
     def get_request(self):
         request, address = super().get_request()
+        # Every response is one write (see ServeHandler._send_body), but
+        # with Nagle on, the last partial segment of a multi-segment write
+        # still waits for the client to ACK the earlier ones, which delayed
+        # ACK postpones by up to ~40 ms.
+        request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         with self._conn_lock:
             self._connections.add(request)
         return request, address

@@ -150,6 +150,27 @@ def test_enable_disable_cycle():
     assert len(t.metrics) == 0
 
 
+def test_enable_without_keeping_spans():
+    t = Telemetry()
+    t.enable(keep_spans=False)
+    with t.span("outer") as outer:
+        with t.span("inner") as inner:
+            pass
+    t.record_span("wait", 0.0, 0.1, trace_id=outer.trace_id)
+    # Spans still time themselves and link up; nothing is retained and
+    # nothing counts as dropped.
+    assert outer.wall_s >= inner.wall_s > 0.0
+    assert inner.trace_id == outer.trace_id
+    assert inner.parent_span_id == outer.span_id
+    assert len(t.spans) == 0
+    assert t.tracer.dropped == 0
+    assert "trace.dropped" not in t.metrics.snapshot()["counters"]
+    t.enable()
+    with t.span("kept"):
+        pass
+    assert [record.name for record in t.spans] == ["kept"]
+
+
 def test_global_singleton_default_disabled():
     assert telemetry.enabled is False
 

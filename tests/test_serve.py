@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -26,7 +27,7 @@ from repro.core.pipeline import TypeInferencePipeline
 from repro.obs import telemetry
 from repro.serve import InferenceService, ModelRegistry, ServeClientError
 from repro.serve.client import ServeClient
-from repro.serve.http import make_server
+from repro.serve.http import ServeHandler, make_server
 
 CSV_TEXT = "id,salary,state\n" + "\n".join(
     f"{i},{1000 + 13 * i},{['CA', 'TX', 'NY', 'WA'][i % 4]}"
@@ -64,15 +65,28 @@ def _telemetry():
 
 @contextmanager
 def running_server(registry, start_batcher=True, **service_knobs):
+    with serving(registry, start_batcher, **service_knobs) as (
+        client, service, _,
+    ):
+        yield client, service
+
+
+@contextmanager
+def serving(registry, start_batcher=True, handler_class=None,
+            **service_knobs):
+    """:func:`running_server` that also yields the HTTP server itself;
+    ``handler_class`` swaps in a ``ServeHandler`` subclass."""
     service = InferenceService(registry, **service_knobs)
     server = make_server("127.0.0.1", 0, service)
+    if handler_class is not None:
+        server.RequestHandlerClass = handler_class
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     if start_batcher:
         service.start()
     client = ServeClient(f"http://127.0.0.1:{server.server_port}")
     try:
-        yield client, service
+        yield client, service, server
     finally:
         client.close()  # keep-alive sockets would stall the handler join
         server.shutdown()
@@ -665,3 +679,183 @@ class TestScanCacheKnob:
             resets = telemetry.metrics.counter("sketch.scan_cache_reset").value
         assert resets >= 1
         assert tight["predictions"] == reference["predictions"]
+
+
+def _nodelay(sock) -> int:
+    return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+
+class _CountingWriter:
+    """Socket writer stand-in that records every ``write`` it forwards."""
+
+    def __init__(self, inner, writes: list):
+        self._inner = inner
+        self._writes = writes
+
+    def write(self, data):
+        self._writes.append(bytes(data))
+        return self._inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+class _FailingWriter:
+    def __init__(self, exc_type):
+        self._exc_type = exc_type
+
+    def write(self, data):
+        raise self._exc_type("peer went away")
+
+
+class TestTransport:
+    """Keep-alive responses must not stall on Nagle + delayed ACK: every
+    socket has TCP_NODELAY and every response is one write."""
+
+    def test_accepted_server_sockets_have_nodelay(self, served_model):
+        registry = ModelRegistry.preloaded(served_model)
+        with serving(registry, max_wait_s=0.0) as (client, _, server):
+            other = ServeClient(client.base_url)
+            client.healthz()
+            other.healthz()
+            # Both keep-alive connections stay open (and tracked) until
+            # their clients close them.
+            with server._conn_lock:
+                accepted = list(server._connections)
+            options = [_nodelay(sock) for sock in accepted]
+            other.close()
+        assert len(options) == 2
+        assert all(options)
+
+    def test_client_sockets_have_nodelay(self, served_model, monkeypatch):
+        registry = ModelRegistry.preloaded(served_model)
+        with running_server(registry, max_wait_s=0.0) as (client, _):
+            client.healthz()
+            keep_alive = _nodelay(client._local.conn.sock)
+
+            pipelined: list[int] = []
+            dial = client._dial
+
+            def spy():
+                sock = dial()
+                pipelined.append(_nodelay(sock))
+                return sock
+
+            monkeypatch.setattr(client, "_dial", spy)
+            results = client.infer_pipelined(
+                [("a", CSV_TEXT), ("b", CSV_TEXT)], depth=2
+            )
+        assert keep_alive != 0
+        assert len(results) == 2
+        assert pipelined and all(pipelined)
+
+    def test_every_response_is_one_write(self, served_model):
+        writes: list[bytes] = []
+
+        class CountingHandler(ServeHandler):
+            def setup(self):
+                super().setup()
+                self.wfile = _CountingWriter(self.wfile, writes)
+
+        registry = ModelRegistry.preloaded(served_model)
+        with serving(
+            registry, start_batcher=False, handler_class=CountingHandler,
+            queue_limit=1, max_wait_s=0.0,
+        ) as (client, service, _):
+            from repro.tabular.csv_io import read_csv_text
+
+            one_shot = ServeClient(client.base_url, retry=None)
+            statuses = []
+
+            def status_of(call, *args, **kwargs):
+                try:
+                    call(*args, **kwargs)
+                except ServeClientError as exc:
+                    statuses.append(exc.status)
+                else:
+                    statuses.append(200)
+
+            # The worker is not started yet, so one queued table fills it.
+            service.batcher.submit(read_csv_text(CSV_TEXT, name="filler"))
+            status_of(one_shot.infer_csv_text, CSV_TEXT, deadline_ms=5000)
+            service.batcher._queue.clear()
+            service.batcher.start()
+            status_of(one_shot.infer_csv_text, CSV_TEXT)
+            status_of(one_shot.infer_csv_text, "")
+            status_of(one_shot._request_once, "GET", "/no/such/endpoint")
+            status_of(one_shot.healthz)
+            status_of(one_shot.metrics_text)
+            service.draining = True
+            status_of(one_shot.infer_csv_text, CSV_TEXT)
+            one_shot.close()
+        assert statuses == [429, 200, 400, 404, 200, 200, 503]
+        assert len(writes) == len(statuses)
+        for status, write in zip(statuses, writes):
+            head, sep, body = write.partition(b"\r\n\r\n")
+            lines = head.decode("latin-1").split("\r\n")
+            assert sep and lines[0].startswith(f"HTTP/1.1 {status} ")
+            headers = dict(line.split(": ", 1) for line in lines[1:])
+            assert int(headers["Content-Length"]) == len(body) > 0
+
+    @pytest.mark.parametrize(
+        "exc_type", [BrokenPipeError, ConnectionResetError]
+    )
+    def test_vanished_client_is_counted_not_raised(self, exc_type):
+        handler = ServeHandler.__new__(ServeHandler)
+        handler.request_version = handler.protocol_version
+        handler.requestline = "GET /healthz HTTP/1.1"
+        handler.command = "GET"
+        handler.client_address = ("127.0.0.1", 0)
+        handler.close_connection = False
+        handler.wfile = _FailingWriter(exc_type)
+        handler._send_json(200, {"status": "ready"})
+        assert handler.close_connection is True
+        assert telemetry.metrics.counter("serve.client_gone").value == 1
+
+    def test_server_timing_header_matches_body(self, served_model):
+        registry = ModelRegistry.preloaded(served_model)
+        with running_server(registry, max_wait_s=0.0) as (client, _):
+            status, headers, raw = client._perform(
+                "POST", "/v1/infer?table=timed", CSV_TEXT.encode("utf-8"),
+                {"Content-Type": "text/csv"},
+            )
+        assert status == 200
+        timing = json.loads(raw.decode("utf-8"))["timing"]
+        metrics = dict(
+            part.strip().split(";dur=")
+            for part in headers["server-timing"].split(",")
+        )
+        assert metrics == {
+            "queue": str(timing["queue_ms"]),
+            "infer": str(timing["infer_ms"]),
+        }
+
+    @pytest.mark.parametrize(
+        "argv, kept",
+        [([], False), (["--trace-out", "spans.jsonl"], True),
+         (["--manifest", "run.json"], True)],
+    )
+    def test_spans_are_kept_only_for_an_exporting_flag(
+        self, served_model, argv, kept
+    ):
+        from repro.serve.cli import build_parser, enable_telemetry
+
+        level = telemetry.logger.level
+        enable_telemetry(build_parser().parse_args(argv))
+        try:
+            registry = ModelRegistry.preloaded(served_model)
+            with running_server(registry, max_wait_s=0.0) as (client, _):
+                response = client.infer_csv_text(CSV_TEXT, table="kept")
+                client.healthz()
+            names = {record.name for record in telemetry.spans}
+            counters = telemetry.metrics.snapshot()["counters"]
+        finally:
+            telemetry.enable(log_level=level)
+        # Trace ids still propagate and metrics still count either way.
+        assert response["trace_id"]
+        assert counters["serve.request"] == 1
+        assert "trace.dropped" not in counters
+        if kept:
+            assert {"serve.request", "serve.batch"} <= names
+        else:
+            assert names == set()
