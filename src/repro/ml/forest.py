@@ -7,6 +7,8 @@ Random Forests for both classification and regression.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from repro.ml.base import (
@@ -18,9 +20,45 @@ from repro.ml.base import (
 )
 from repro.ml.preprocessing import LabelEncoder
 from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
+from repro.ml.tree import pack_trees, route
 
 
 class _BaseForest(BaseEstimator):
+    """``fit`` and unpickling pack the trees into one node table, ``_nodes``,
+    that predicts for all trees at once; the trees' arrays become views into
+    it.  Pickles leave the table out, so artifact bytes do not change."""
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_nodes", None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        # Interned names, as pickle's default BUILD makes them: re-pickling
+        # then memoizes them the same way and writes the same bytes.
+        self.__dict__.update({sys.intern(k): v for k, v in state.items()})
+        if "estimators_" in state:
+            self._pack()
+
+    def _pack(self) -> None:
+        nodes = pack_trees(self.estimators_)
+        stops = [*nodes.roots[1:], nodes.feature.shape[0]]
+        for tree, start, stop in zip(self.estimators_, nodes.roots, stops):
+            tree._feature = nodes.feature[start:stop]
+            tree._threshold = nodes.threshold[start:stop]
+            tree._value = nodes.value[start:stop]
+        self._nodes = nodes
+
+    def _mean_leaf_value(self, X) -> np.ndarray:
+        """Mean leaf value per row.  ``accumulate`` adds the trees in
+        estimator order (``np.sum`` may add pairwise, changing the bits);
+        ``+ 0.0`` is the zero a running sum starts from."""
+        self._check_fitted("_nodes")
+        X = check_array(X)
+        leaf = self._nodes.value[route(self._nodes, X)]
+        total = np.add.accumulate(leaf, axis=1)[:, -1] + 0.0
+        return total / len(self.estimators_)
+
     def _bootstrap_index(self, n_samples: int, rng: np.random.Generator):
         if self.bootstrap:
             return rng.integers(0, n_samples, size=n_samples)
@@ -77,20 +115,12 @@ class RandomForestClassifier(_BaseForest, ClassifierMixin):
             sub_X, sub_y = X[index], codes[index]
             tree._fit_tree(sub_X, sub_y, len(self.classes_))
             self.estimators_.append(tree)
+        self._pack()
+        assert self._nodes.value.shape[1] == len(self.classes_)
         return self
 
     def predict_proba(self, X) -> np.ndarray:
-        self._check_fitted("estimators_")
-        X = check_array(X)
-        probs = np.zeros((X.shape[0], len(self.classes_)))
-        for tree in self.estimators_:
-            tree_probs = tree._leaf_values(X)
-            if tree_probs.shape[1] < probs.shape[1]:  # pragma: no cover - guard
-                padded = np.zeros_like(probs)
-                padded[:, : tree_probs.shape[1]] = tree_probs
-                tree_probs = padded
-            probs += tree_probs
-        return probs / len(self.estimators_)
+        return self._mean_leaf_value(X)
 
     def predict(self, X) -> list:
         probs = self.predict_proba(X)
@@ -147,12 +177,8 @@ class RandomForestRegressor(_BaseForest, RegressorMixin):
             )
             tree.fit(X[index], y[index])
             self.estimators_.append(tree)
+        self._pack()
         return self
 
     def predict(self, X) -> np.ndarray:
-        self._check_fitted("estimators_")
-        X = check_array(X)
-        total = np.zeros(X.shape[0])
-        for tree in self.estimators_:
-            total += tree.predict(X)
-        return total / len(self.estimators_)
+        return self._mean_leaf_value(X)[:, 0]

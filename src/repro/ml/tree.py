@@ -8,6 +8,8 @@ small enough for random forests at benchmark scale.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.ml.base import (
@@ -96,8 +98,6 @@ class _TreeBuilder:
 
     def _is_pure(self, y: np.ndarray, index: np.ndarray) -> bool:
         sub = y[index]
-        if self.is_classifier:
-            return bool(np.all(sub == sub[0]))
         return bool(np.all(sub == sub[0]))
 
     def _candidate_thresholds(self, values: np.ndarray) -> np.ndarray:
@@ -192,6 +192,65 @@ def _variance_columns(sums, sumsqs, totals) -> np.ndarray:
     return np.maximum(sumsqs / safe - mean * mean, 0.0)
 
 
+class NodeTable(NamedTuple):
+    """Trees' arrays end to end; children are global ids, a leaf its own."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    roots: np.ndarray
+
+
+def pack_trees(trees) -> NodeTable:
+    """Concatenate fitted trees into one :class:`NodeTable`."""
+    sizes = [tree._feature.shape[0] for tree in trees]
+    starts = np.cumsum([0] + sizes, dtype=np.int32)
+    offset = np.repeat(starts[:-1], sizes)
+    own = np.arange(starts[-1], dtype=np.int32)
+
+    def joined(name: str, dtype=None) -> np.ndarray:
+        # By default keep the trees' own dtype object: pickle memoizes
+        # dtypes by identity, so views of the result pickle as before.
+        arrays = [getattr(tree, name) for tree in trees]
+        return np.concatenate(arrays, dtype=dtype or arrays[0].dtype)
+
+    def children(name: str) -> np.ndarray:
+        local = joined(name, np.int32)
+        return np.where(local == _LEAF, own, local + offset)
+
+    return NodeTable(
+        feature=joined("_feature"),
+        threshold=joined("_threshold"),
+        left=children("_left"),
+        right=children("_right"),
+        value=joined("_value"),
+        roots=starts[:-1],
+    )
+
+
+def route(nodes: NodeTable, X: np.ndarray) -> np.ndarray:
+    """Leaf id of every row in every tree, shape ``(n_rows, n_trees)``.
+
+    All (row, tree) entries descend one level per pass; an entry at a leaf
+    stays put (its read of column ``-1`` only picks between equal
+    children), so each row makes exactly the ``<=`` comparisons of a
+    tree-by-tree descent.  ``X[row, feature]`` is read from the flattened X.
+    """
+    node = np.repeat(nodes.roots[None, :], X.shape[0], axis=0)
+    row_start = (np.arange(X.shape[0]) * X.shape[1])[:, None]
+    flat = X.ravel()
+    while True:
+        feature = np.take(nodes.feature, node)
+        if np.all(feature == _LEAF):
+            return node
+        x = np.take(flat, row_start + feature)
+        go_left = x <= np.take(nodes.threshold, node)
+        left, right = np.take(nodes.left, node), np.take(nodes.right, node)
+        node = np.where(go_left, left, right)
+
+
 class _BaseDecisionTree(BaseEstimator):
     def _fit_tree(self, X: np.ndarray, y_codes: np.ndarray, n_classes: int) -> None:
         rng = np.random.default_rng(self.random_state)
@@ -227,20 +286,8 @@ class _BaseDecisionTree(BaseEstimator):
     def _leaf_values(self, X: np.ndarray) -> np.ndarray:
         """Route every row to its leaf; returns the per-row value vectors."""
         self._check_fitted("_feature")
-        n = X.shape[0]
-        node = np.zeros(n, dtype=np.int64)
-        active = self._feature[node] != _LEAF
-        while np.any(active):
-            idx = np.nonzero(active)[0]
-            current = node[idx]
-            go_left = (
-                X[idx, self._feature[current]] <= self._threshold[current]
-            )
-            node[idx] = np.where(
-                go_left, self._left[current], self._right[current]
-            )
-            active = self._feature[node] != _LEAF
-        return self._value[node]
+        nodes = pack_trees([self])
+        return nodes.value[route(nodes, X)[:, 0]]
 
     @property
     def n_nodes_(self) -> int:

@@ -58,7 +58,7 @@ class InferenceRequest:
         "table", "profiles", "table_name", "model_name", "deadline",
         "enqueued_at", "started_at", "finished_at", "predictions", "model",
         "fingerprint", "generation", "degraded", "error", "batch_requests",
-        "batch_columns", "trace", "_done",
+        "batch_columns", "profile_ms", "predict_ms", "trace", "_done",
     )
 
     def __init__(
@@ -89,6 +89,9 @@ class InferenceRequest:
         self.error: BaseException | None = None
         self.batch_requests = 0
         self.batch_columns = 0
+        # wall time of the batch's serve.profile / serve.predict spans
+        self.profile_ms = 0.0
+        self.predict_ms = 0.0
         self._done = threading.Event()
 
     @property

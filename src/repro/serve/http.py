@@ -53,7 +53,10 @@ Every ``POST /v1/infer`` honors an incoming W3C ``traceparent`` header:
 the server's spans join the caller's trace, and the trace id is echoed in
 the response body (``trace_id``) and the ``X-Trace-Id`` header.  A
 successful inference also carries ``Server-Timing: queue;dur=…,
-infer;dur=…`` with the body's ``timing.queue_ms``/``timing.infer_ms``.
+profile;dur=…, predict;dur=…, infer;dur=…`` with the body's
+``timing.queue_ms``/``profile_ms``/``predict_ms``/``infer_ms``: the batching
+wait, the batch's ``serve.profile`` and ``serve.predict`` spans, and the
+whole batch run.
 
 Every response leaves in one socket write and every accepted socket has
 ``TCP_NODELAY`` set, so keep-alive connections never wait on Nagle plus
@@ -498,8 +501,10 @@ class ServeHandler(BaseHTTPRequestHandler):
                 status, {"error": str(request.error)}, trace_id=trace_id
             )
             return
-        queue_ms = round(request.queue_ms, 3)
-        infer_ms = round(request.infer_ms, 3)
+        timing = {
+            name: round(getattr(request, f"{name}_ms"), 3)
+            for name in ("queue", "profile", "predict", "infer")
+        }
         self._send_json(
             200,
             {
@@ -510,14 +515,15 @@ class ServeHandler(BaseHTTPRequestHandler):
                 "degraded": request.degraded,
                 "predictions": [p.as_dict() for p in request.predictions],
                 "timing": {
-                    "queue_ms": queue_ms,
-                    "infer_ms": infer_ms,
+                    **{f"{name}_ms": ms for name, ms in timing.items()},
                     "batch_requests": request.batch_requests,
                     "batch_columns": request.batch_columns,
                 },
             },
             headers={
-                "Server-Timing": f"queue;dur={queue_ms}, infer;dur={infer_ms}"
+                "Server-Timing": ", ".join(
+                    f"{name};dur={ms}" for name, ms in timing.items()
+                )
             },
             trace_id=trace_id,
         )

@@ -248,12 +248,15 @@ class InferenceService:
         ]
         profiles_by_request: dict[int, list] = {}
         if columns:
-            with telemetry.span("serve.profile", n_columns=len(columns)):
+            with telemetry.span(
+                "serve.profile", n_columns=len(columns)
+            ) as span:
                 profiled = profile_columns(columns, scan_cache=self._scan_cache)
             # Stamp provenance per request (profile_columns took the flat
             # list).
             offset = 0
             for request in table_requests:
+                request.profile_ms = 1000.0 * span.wall_s
                 chunk = profiled[offset:offset + request.n_columns]
                 for profile in chunk:
                     profile.source_file = request.table.name
@@ -280,10 +283,11 @@ class InferenceService:
         label = getattr(model, "name", type(model).__name__)
         with telemetry.span(
             "serve.predict", n_columns=len(profiles), model=label
-        ):
+        ) as span:
             predictions = pipeline.predict_profiles(profiles)
         offset = 0
         for request in batch:
+            request.predict_ms = 1000.0 * span.wall_s
             request.complete(
                 predictions[offset:offset + request.n_columns],
                 model=label, degraded=False,

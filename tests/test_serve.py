@@ -825,10 +825,15 @@ class TestTransport:
             part.strip().split(";dur=")
             for part in headers["server-timing"].split(",")
         )
-        assert metrics == {
-            "queue": str(timing["queue_ms"]),
-            "infer": str(timing["infer_ms"]),
-        }
+        assert list(metrics) == ["queue", "profile", "predict", "infer"]
+        assert metrics == {name: str(timing[f"{name}_ms"]) for name in metrics}
+        # profile and predict are the batch's spans, both inside the run.
+        assert 0.0 < timing["profile_ms"] <= timing["infer_ms"]
+        assert 0.0 < timing["predict_ms"] <= timing["infer_ms"]
+        spans = {record.name: record for record in telemetry.spans}
+        for name in ("profile", "predict"):
+            wall_ms = 1000.0 * spans[f"serve.{name}"].wall_s
+            assert timing[f"{name}_ms"] == round(wall_ms, 3)
 
     @pytest.mark.parametrize(
         "argv, kept",
